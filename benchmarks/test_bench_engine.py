@@ -7,8 +7,8 @@ fast the tuple-heap kernel dispatches events across PRs:
 * ``test_event_dispatch_throughput`` schedules and dispatches 200k no-op
   events through ``Simulator.schedule`` + ``Simulator.run`` — pure kernel
   overhead, no protocol code at all;
-* ``test_run_experiment_end_to_end`` times one full ``run_experiment``
-  of the paper's algorithm at the benchmark scale, with the explicit
+* ``test_run_end_to_end`` times one full ``run(Scenario(...))`` of the
+  paper's algorithm at the benchmark scale, with the explicit
   ``default_max_events`` budget from the shared conftest;
 * ``test_lifecycle_hooks_overhead_on_no_fault_path`` guards the crash
   subsystem's cost contract: arming the lifecycle machinery (a crash
@@ -22,7 +22,7 @@ import time
 
 from conftest import run_once
 
-from repro.experiments.runner import run, run_experiment
+from repro.experiments.runner import run
 from repro.experiments.scenario import Scenario
 from repro.sim.engine import Simulator
 from repro.sim.faultspec import NodeCrash
@@ -53,59 +53,10 @@ def test_event_dispatch_throughput(benchmark):
     benchmark.extra_info["events_per_second"] = round(DISPATCH_EVENTS / elapsed)
 
 
-#: Required dispatch-phase advantage of the calendar queue over the heap
-#: on the bulk no-op workload.  Measured in-process (same machine, same
-#: interpreter state), so the guard is robust to absolute machine speed;
-#: the observed ratio is ~3-4x, so 2x leaves headroom for noisy runners.
-CALENDAR_SPEEDUP_FLOOR = 2.0
-
-
-def _dispatch_time(scheduler: str, n: int) -> float:
-    """Wall-clock seconds the dispatch loop takes for ``n`` no-op events.
-
-    Scheduling happens outside the timed region: the guard is about the
-    drain loop (pop + call), which is where the calendar's batched
-    window pays off against the heap's per-event sift.
-    """
-    sim = Simulator(scheduler)
-    schedule = sim.schedule
-    for i in range(n):
-        schedule(float(i % 97) * 0.01, _nop)
-    start = time.perf_counter()
-    sim.run()
-    elapsed = time.perf_counter() - start
-    assert sim.processed_events == n
-    return elapsed
-
-
-def test_calendar_dispatch_speedup_over_heap():
-    """The calendar scheduler must drain bulk events >=2x faster than the heap.
-
-    Interleaved min-of-rounds keeps the comparison fair under CI noise,
-    and comparing the two schedulers inside one process factors out the
-    machine entirely — this is the PR 9 acceptance ratio, pinned.
-    """
-    rounds = 5
-    timings = {"heap": [], "calendar": []}
-    for _ in range(rounds):
-        for name in ("heap", "calendar"):
-            timings[name].append(_dispatch_time(name, DISPATCH_EVENTS))
-    ratio = min(timings["heap"]) / min(timings["calendar"])
-    assert ratio >= CALENDAR_SPEEDUP_FLOOR, (
-        f"calendar drains only {ratio:.2f}x faster than heap "
-        f"(floor {CALENDAR_SPEEDUP_FLOOR}x)"
-    )
-
-
-def test_run_experiment_end_to_end(benchmark, bench_params, bench_max_events):
+def test_run_end_to_end(benchmark, bench_params, bench_max_events):
     """One full core-algorithm run at benchmark scale (engine + protocol)."""
-    result = run_once(
-        benchmark,
-        run_experiment,
-        "with_loan",
-        bench_params,
-        max_events=bench_max_events,
-    )
+    scenario = Scenario(algorithm="with_loan", params=bench_params, max_events=bench_max_events)
+    result = run_once(benchmark, run, scenario)
     assert result.metrics.completed == result.metrics.issued
     elapsed = benchmark.stats["mean"]
     benchmark.extra_info["events_processed"] = result.events_processed

@@ -44,7 +44,7 @@ def run_panel() -> dict:
     """Run the benchmark panel once and return its measurements."""
     import pickle
 
-    from repro.experiments.runner import run, run_experiment
+    from repro.experiments.runner import run
     from repro.experiments.scenario import Scenario
     from repro.sim.engine import Simulator
     from repro.workload.arrivals import PoissonArrivals
@@ -56,16 +56,12 @@ def run_panel() -> dict:
     # -- kernel: raw event dispatch ---------------------------------- #
     n_events = 200_000
     nop = lambda: None
-    for scheduler, key in (
-        ("heap", "kernel_events_per_s"),
-        ("calendar", "kernel_calendar_events_per_s"),
-    ):
-        sim = Simulator(scheduler)
-        for i in range(n_events):
-            sim.schedule(float(i % 97) * 0.01, nop)
-        t0 = time.perf_counter()
-        sim.run()
-        metrics[key] = round(n_events / (time.perf_counter() - t0))
+    sim = Simulator()
+    for i in range(n_events):
+        sim.schedule(float(i % 97) * 0.01, nop)
+    t0 = time.perf_counter()
+    sim.run()
+    metrics["kernel_events_per_s"] = round(n_events / (time.perf_counter() - t0))
 
     # -- closed loop: the paper's algorithm at benchmark scale -------- #
     bench = WorkloadParams(
@@ -73,7 +69,7 @@ def run_panel() -> dict:
         duration=1_500.0, warmup=200.0, seed=1,
     )
     t0 = time.perf_counter()
-    result = run_experiment("with_loan", bench)
+    result = run(Scenario(algorithm="with_loan", params=bench))
     elapsed = time.perf_counter() - t0
     metrics["closed_loop_events_per_s"] = round(result.events_processed / elapsed)
     metrics["closed_loop_msgs_per_cs"] = round(result.metrics.messages_per_cs, 2)
@@ -124,7 +120,6 @@ def run_panel() -> dict:
 #: docs/benchmarks.md columns: (JSON metric key, table header).
 COLUMNS = (
     ("kernel_events_per_s", "kernel ev/s"),
-    ("kernel_calendar_events_per_s", "kernel cal ev/s"),
     ("closed_loop_events_per_s", "closed ev/s"),
     ("closed_loop_msgs_per_cs", "msgs/cs"),
     ("closed_loop_mean_wait_ms", "wait (ms)"),

@@ -58,11 +58,9 @@ echo "trace ablation (--quick) OK"
 # Structural zero-overhead check: a no-fault run must execute no frames
 # from the fault layer, the crash lifecycle or the recovery coordinator
 # (the wall-clock version of the same contract lives in
-# benchmarks/test_bench_engine.py).  Profiled under both schedulers so
-# neither dispatch loop can quietly re-enter the crash subsystem.
+# benchmarks/test_bench_engine.py).
 echo "== no-fault fast-path profile check =="
 python scripts/profile_run.py --check
-python scripts/profile_run.py --scheduler calendar --check
 
 # The observability package is pinned to a >=90% line-coverage floor by
 # its dedicated suite (tests/obs).  check_coverage.py uses pytest-cov

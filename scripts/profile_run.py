@@ -19,11 +19,9 @@ Two uses:
   ``benchmarks/test_bench_engine.py`` and
   ``benchmarks/test_bench_obs.py``; this check pins the mechanism (the
   code is truly never entered), so it cannot rot into "slow but under
-  the noise floor".  Wired into ``scripts/check.sh``.
+  the noise floor".  Wired into ``scripts/check.sh`` and CI.
 
-Options: ``--scheduler {heap,calendar}`` profiles a specific scheduler
-(default: the engine's default resolution, i.e. heap unless
-``REPRO_SCHEDULER`` overrides it); ``--sort`` picks the pstats sort key.
+Options: ``--sort`` picks the pstats sort key.
 """
 
 from __future__ import annotations
@@ -55,21 +53,23 @@ FORBIDDEN_ON_NO_FAULT_PATH = (
 ALLOWED_FRAMES: frozenset = frozenset()
 
 
-def profile_canonical(scheduler):
+def profile_canonical():
     """Run the canonical closed-loop scenario under cProfile."""
-    from repro.experiments.runner import run_experiment
+    from repro.experiments.runner import run
+    from repro.experiments.scenario import Scenario
     from repro.workload.params import WorkloadParams
 
-    params = WorkloadParams(
-        num_processes=10, num_resources=24, phi=4,
-        duration=1_500.0, warmup=200.0, seed=1,
+    scenario = Scenario(
+        algorithm="with_loan",
+        params=WorkloadParams(
+            num_processes=10, num_resources=24, phi=4,
+            duration=1_500.0, warmup=200.0, seed=1,
+        ),
     )
-    if scheduler is not None:
-        os.environ["REPRO_SCHEDULER"] = scheduler
-    run_experiment("with_loan", params)  # warm imports and caches
+    run(scenario)  # warm imports and caches
     profile = cProfile.Profile()
     profile.enable()
-    result = run_experiment("with_loan", params)
+    result = run(scenario)
     profile.disable()
     return profile, result
 
@@ -93,10 +93,6 @@ def check_no_fault_frames(profile) -> list:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--scheduler", choices=("heap", "calendar"), default=None,
-        help="scheduler to profile (default: engine default / REPRO_SCHEDULER)",
-    )
-    parser.add_argument(
         "--sort", default="cumulative",
         help="pstats sort key for the report (default: cumulative)",
     )
@@ -106,7 +102,7 @@ def main() -> None:
     )
     args = parser.parse_args()
 
-    profile, result = profile_canonical(args.scheduler)
+    profile, result = profile_canonical()
 
     if args.check:
         offenders = check_no_fault_frames(profile)

@@ -160,17 +160,6 @@ class Scenario:
     record_spill:
         With ``record_chunk_rows``, write sealed chunks to a temporary
         spill directory instead of holding the packed bytes in memory.
-    scheduler:
-        Event-queue implementation for the simulation engine
-        (:data:`repro.sim.schedulers.SCHEDULERS`: ``"heap"``,
-        ``"calendar"``, ``"ladder"``).  ``None`` (default) defers to the
-        ``REPRO_SCHEDULER`` environment variable, falling back to the
-        heap.  A pure performance knob: results are bit-identical across
-        schedulers (the engine's determinism contract), so the unset
-        value is hash-neutral and the environment override never touches
-        cache keys.  An explicit value *is* hashed — it pins the choice
-        declaratively, and distinct keys for the same numbers only cost
-        a duplicate cache entry.
     telemetry:
         Run-time observability axis
         (:class:`~repro.obs.spec.TelemetrySpec`).  ``None`` (default)
@@ -199,7 +188,6 @@ class Scenario:
     require_all_completed: bool = True
     record_chunk_rows: Optional[int] = None
     record_spill: bool = False
-    scheduler: Optional[str] = None
     telemetry: Optional[Any] = None
 
     #: Axes added after the first release hash neutrally at their neutral
@@ -210,7 +198,6 @@ class Scenario:
         "workload": SyntheticSpec(),
         "record_chunk_rows": None,
         "record_spill": False,
-        "scheduler": None,
         "telemetry": None,
     }
 
@@ -256,14 +243,6 @@ class Scenario:
             raise ValueError("record_chunk_rows must be >= 1 (or None for unchunked)")
         if self.record_spill and self.record_chunk_rows is None:
             raise ValueError("record_spill requires record_chunk_rows")
-        if self.scheduler is not None:
-            from repro.sim.schedulers import available_schedulers
-
-            if self.scheduler not in available_schedulers():
-                raise ValueError(
-                    f"unknown scheduler {self.scheduler!r}; "
-                    f"available: {', '.join(available_schedulers())}"
-                )
         if self.telemetry is not None:
             # Imported lazily for the same reason the runner defers it:
             # scenarios without telemetry must never touch repro.obs.
@@ -418,8 +397,6 @@ class Scenario:
         if norm.record_chunk_rows is not None:
             spill = ", spill" if norm.record_spill else ""
             parts.append(f"chunked={norm.record_chunk_rows}{spill}")
-        if norm.scheduler is not None:
-            parts.append(f"scheduler={norm.scheduler}")
         if norm.telemetry is not None:
             parts.append(norm.telemetry.describe())
         return " ".join(parts)

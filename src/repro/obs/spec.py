@@ -1,17 +1,17 @@
 """Declarative telemetry axis: ``Scenario(telemetry=TelemetrySpec(...))``.
 
 A :class:`TelemetrySpec` is frozen, picklable and content-hashable like
-every other scenario axis (latency, faults, workload, scheduler).  The
-axis is **hash-neutral when unset**: ``Scenario(telemetry=None)`` keys
+every other scenario axis (latency, faults, workload).  The axis is
+**hash-neutral when unset**: ``Scenario(telemetry=None)`` keys
 identically to a scenario written before the axis existed, because a
 run without telemetry *is* that run — the instrumentation executes zero
 frames (see :mod:`repro.obs` and ``scripts/profile_run.py --check``).
 
 The ``REPRO_TELEMETRY`` environment variable switches telemetry on for
-a whole process without touching scenarios — mirroring
-``REPRO_SCHEDULER`` — and, like it, **loses to an explicit scenario
-value** and never participates in cache keys (env-derived snapshots are
-stripped before results enter a :class:`~repro.parallel.cache.RunCache`).
+a whole process without touching scenarios.  It **loses to an explicit
+scenario value** and never participates in cache keys (env-derived
+snapshots are stripped before results enter a
+:class:`~repro.parallel.cache.RunCache`).
 """
 
 from __future__ import annotations

@@ -1,7 +1,6 @@
 """Memoisation of completed experiment runs.
 
-A :class:`RunCache` maps a spec content hash (:meth:`Scenario.key` /
-:meth:`JobSpec.key`) to the :class:`~repro.experiments.runner.ExperimentResult`
+A :class:`RunCache` maps a scenario content hash (:meth:`Scenario.key`) to the :class:`~repro.experiments.runner.ExperimentResult`
 it produced.  Because the key hashes everything the run depends on
 (algorithm, config spec, full workload parameters including the seed,
 latency spec and run options), a hit is guaranteed to be the exact result

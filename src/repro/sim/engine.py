@@ -17,23 +17,18 @@ numbers, and :class:`Event` survives only as a thin handle so existing
 callers (e.g. the resend timers in :mod:`repro.core.node`) keep working
 unchanged.
 
-*How* the tuples are stored is pluggable (:mod:`repro.sim.schedulers`):
-the binary heap is the reference implementation, and a calendar/ladder
-queue trades heap sifts for one amortised sort per dispatch window.
-Every scheduler pops in identical ``(time, seq)`` order, so the choice
-is a pure performance knob — select it per :class:`Simulator` (or per
-``Scenario``), or globally via the ``REPRO_SCHEDULER`` environment
-variable.
+The tuples live in one binary heap (:mod:`heapq`) that the
+:class:`Simulator` owns directly: every scheduling call is a single
+``heappush`` and every dispatch a single ``heappop``.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Any, Callable, Optional, Union
+from heapq import heappop, heappush
+from typing import Any, Callable, List, Optional, Tuple
 
-from repro.sim.schedulers import CalendarQueue, HeapScheduler, make_scheduler
-
-SchedulerLike = Union[HeapScheduler, CalendarQueue]
+#: Queue entry: ``(time, seq, callback, args)``.
+Entry = Tuple[float, int, Callable[..., None], tuple]
 
 
 class SimulationError(RuntimeError):
@@ -115,16 +110,6 @@ class Event:
 class Simulator:
     """Discrete-event simulator with a simulated clock.
 
-    Parameters
-    ----------
-    scheduler:
-        Event-queue implementation: a name from
-        :data:`repro.sim.schedulers.SCHEDULERS` (``"heap"``,
-        ``"calendar"``, ...), a pre-built scheduler instance, or ``None``
-        for the default (``$REPRO_SCHEDULER`` if set, else the heap).
-        Results are bit-identical across schedulers; see
-        :mod:`repro.sim.schedulers` for the determinism contract.
-
     Examples
     --------
     >>> sim = Simulator()
@@ -139,7 +124,7 @@ class Simulator:
     """
 
     __slots__ = (
-        "_scheduler",
+        "_queue",
         "_seq",
         "_now",
         "_running",
@@ -148,10 +133,8 @@ class Simulator:
         "_generation",
     )
 
-    def __init__(self, scheduler: Union[str, SchedulerLike, None] = None) -> None:
-        if scheduler is None or isinstance(scheduler, str):
-            scheduler = make_scheduler(scheduler)
-        self._scheduler = scheduler
+    def __init__(self) -> None:
+        self._queue: List[Entry] = []
         self._seq = 0
         self._now = 0.0
         self._running = False
@@ -178,15 +161,14 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of events still queued (including cancelled ones)."""
-        return len(self._scheduler)
-
-    @property
-    def scheduler_name(self) -> str:
-        """Selection name of the active event scheduler."""
-        return self._scheduler.name
+        return len(self._queue)
 
     # ------------------------------------------------------------------ #
     # scheduling
+    #
+    # The four scheduling calls below repeat their few-line bodies on
+    # purpose: a shared helper would cost one more Python frame per
+    # scheduled event on the hottest path of every run.
     # ------------------------------------------------------------------ #
     def _raise_past(self, time: float) -> None:
         """Shared past-time error for every absolute-time scheduling call.
@@ -221,11 +203,7 @@ class Simulator:
         time = self._now + delay
         seq = self._seq
         self._seq = seq + 1
-        scheduler = self._scheduler
-        if time >= scheduler.append_threshold:
-            scheduler.append((time, seq, callback, args))
-        else:
-            scheduler.insert((time, seq, callback, args))
+        heappush(self._queue, (time, seq, callback, args))
         return Event(time, seq, callback, args, self, self._generation)
 
     def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> Event:
@@ -235,11 +213,7 @@ class Simulator:
             self._raise_past(time)
         seq = self._seq
         self._seq = seq + 1
-        scheduler = self._scheduler
-        if time >= scheduler.append_threshold:
-            scheduler.append((time, seq, callback, args))
-        else:
-            scheduler.insert((time, seq, callback, args))
+        heappush(self._queue, (time, seq, callback, args))
         return Event(time, seq, callback, args, self, self._generation)
 
     def post_at(self, time: float, callback: Callable[..., None], *args: Any) -> None:
@@ -253,11 +227,7 @@ class Simulator:
             self._raise_past(time)
         seq = self._seq
         self._seq = seq + 1
-        scheduler = self._scheduler
-        if time >= scheduler.append_threshold:
-            scheduler.append((time, seq, callback, args))
-        else:
-            scheduler.insert((time, seq, callback, args))
+        heappush(self._queue, (time, seq, callback, args))
 
     def post_in(self, delay: float, callback: Callable[..., None], *args: Any) -> None:
         """Fast-path :meth:`schedule` that allocates no :class:`Event`.
@@ -271,11 +241,7 @@ class Simulator:
         time = self._now + delay
         seq = self._seq
         self._seq = seq + 1
-        scheduler = self._scheduler
-        if time >= scheduler.append_threshold:
-            scheduler.append((time, seq, callback, args))
-        else:
-            scheduler.insert((time, seq, callback, args))
+        heappush(self._queue, (time, seq, callback, args))
 
     def cancel(self, seq: int) -> None:
         """Cancel the queued event with sequence number ``seq``."""
@@ -285,8 +251,8 @@ class Simulator:
         # Cancelling an already-fired event would pin its seq forever;
         # prune whenever the set outgrows the queue (cancels are rare,
         # so the sweep is effectively free).
-        if len(self._cancelled) > 64 and len(self._cancelled) > len(self._scheduler):
-            self._cancelled.intersection_update(self._scheduler.seqs())
+        if len(self._cancelled) > 64 and len(self._cancelled) > len(self._queue):
+            self._cancelled.intersection_update(entry[1] for entry in self._queue)
 
     # ------------------------------------------------------------------ #
     # execution
@@ -297,13 +263,10 @@ class Simulator:
         Returns ``True`` if an event was executed, ``False`` if the queue
         is empty.
         """
-        pop = self._scheduler.pop
+        queue = self._queue
         cancelled = self._cancelled
-        while True:
-            entry = pop()
-            if entry is None:
-                return False
-            time, seq, callback, args = entry
+        while queue:
+            time, seq, callback, args = heappop(queue)
             if cancelled and seq in cancelled:
                 cancelled.discard(seq)
                 continue
@@ -311,6 +274,7 @@ class Simulator:
             self._processed += 1
             callback(*args)
             return True
+        return False
 
     def run(
         self,
@@ -338,89 +302,51 @@ class Simulator:
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run())")
         self._running = True
-        scheduler = self._scheduler
+        queue = self._queue
         cancelled = self._cancelled
+        # max_events is a runaway safety valve, not a loop structure: a
+        # countdown checked before each dispatch, so exactly max_events
+        # events may run and the next one raises.
+        budget = -1 if max_events is None else max_events
         try:
             if until is None:
-                # Tightest loops for the common "drain everything" case,
-                # one per scheduler family.  max_events is only a runaway
-                # safety valve here: a countdown, not a loop structure.
-                budget = -1 if max_events is None else max_events
-                if type(scheduler) is HeapScheduler:
-                    queue = scheduler.entries
-                    heappop = heapq.heappop
-                    while queue:
-                        time, seq, callback, args = heappop(queue)
-                        if cancelled and seq in cancelled:
-                            cancelled.discard(seq)
-                            continue
-                        if budget == 0:
-                            raise SimulationError(
-                                f"max_events={max_events} exceeded; "
-                                f"possible livelock in the protocol"
-                            )
-                        budget -= 1
-                        self._now = time
-                        self._processed += 1
-                        callback(*args)
-                else:
-                    # Batch drain: iterate the scheduler's ready window in
-                    # place instead of paying a pop() call per event.  The
-                    # cursor is re-read each iteration and advanced *before*
-                    # the callback, so in-window insertions and nested
-                    # ``step()`` calls made by a callback stay consistent
-                    # with this loop.
-                    while True:
-                        window = scheduler.take_ready()
-                        if window is None:
-                            break
-                        while True:
-                            pos = scheduler.pos
-                            if pos >= len(window):
-                                break
-                            time, seq, callback, args = window[pos]
-                            scheduler.pos = pos + 1
-                            if cancelled and seq in cancelled:
-                                cancelled.discard(seq)
-                                continue
-                            if budget == 0:
-                                raise SimulationError(
-                                    f"max_events={max_events} exceeded; "
-                                    f"possible livelock in the protocol"
-                                )
-                            budget -= 1
-                            self._now = time
-                            self._processed += 1
-                            callback(*args)
+                # Tightest loop for the common "drain everything" case.
+                while queue:
+                    time, seq, callback, args = heappop(queue)
+                    if cancelled and seq in cancelled:
+                        cancelled.discard(seq)
+                        continue
+                    if budget == 0:
+                        raise SimulationError(
+                            f"max_events={max_events} exceeded; "
+                            f"possible livelock in the protocol"
+                        )
+                    budget -= 1
+                    self._now = time
+                    self._processed += 1
+                    callback(*args)
                 return
-            # Run bounded by `until`: generic peek/pop loop,
-            # scheduler-agnostic (fault runs and stall caps — never the
-            # hot no-fault path).
-            peek = scheduler.peek
-            pop = scheduler.pop
-            executed = 0
-            while True:
-                entry = peek()
-                if entry is None:
-                    break
-                time, seq, callback, args = entry
+            # Run bounded by `until` (fault runs and stall caps — never
+            # the hot no-fault path): peek at the head before popping it.
+            while queue:
+                time, seq, callback, args = queue[0]
                 if cancelled and seq in cancelled:
-                    pop()
+                    heappop(queue)
                     cancelled.discard(seq)
                     continue
                 if time > until:
                     if advance_to_until:
                         self._now = max(self._now, until)
                     return
-                pop()
-                self._now = time
-                self._processed += 1
-                callback(*args)
-                executed += 1
-                if max_events is not None and executed >= max_events:
+                if budget == 0:
                     raise SimulationError(
                         f"max_events={max_events} exceeded; possible livelock in the protocol"
                     )
+                budget -= 1
+                heappop(queue)
+                self._now = time
+                self._processed += 1
+                callback(*args)
             if advance_to_until:
                 self._now = max(self._now, until)
         finally:
@@ -434,7 +360,7 @@ class Simulator:
         seq space restarts and their numbers will be reused by unrelated
         new events.
         """
-        self._scheduler.clear()
+        self._queue.clear()
         self._cancelled.clear()
         self._now = 0.0
         self._seq = 0

@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event simulation engine."""
 
+import random
+
 import pytest
 
 from repro.sim.engine import SimulationError, Simulator
@@ -242,3 +244,182 @@ class TestRunControl:
         sim.schedule(1.0, nested)
         with pytest.raises(SimulationError, match="re-entrant"):
             sim.run()
+
+
+class TestMaxEventsBudget:
+    """``max_events=N`` lets exactly N events run, in both run loops.
+
+    Regression: the ``until``-bounded loop used to raise right after the
+    N-th event, even when the queue then drained or ``until`` was reached;
+    it now checks the budget before dispatching, as the drain loop does.
+    """
+
+    @pytest.mark.parametrize("until", [None, 100.0])
+    def test_exactly_n_events_pass(self, sim, until):
+        fired = []
+        for i in range(5):
+            sim.schedule(float(i), fired.append, i)
+        sim.run(until=until, max_events=5)
+        assert fired == [0, 1, 2, 3, 4]
+        assert sim.processed_events == 5
+
+    @pytest.mark.parametrize("until", [None, 100.0])
+    def test_n_plus_one_events_raise(self, sim, until):
+        fired = []
+        for i in range(6):
+            sim.schedule(float(i), fired.append, i)
+        with pytest.raises(SimulationError, match="max_events=5 exceeded"):
+            sim.run(until=until, max_events=5)
+        assert fired == [0, 1, 2, 3, 4]
+
+    def test_events_past_until_do_not_count(self, sim):
+        for i in range(8):
+            sim.schedule(float(i), lambda: None)
+        sim.run(until=4.5, max_events=5)
+        assert sim.processed_events == 5 and sim.now == 4.5
+
+    @pytest.mark.parametrize("until", [None, 1e9])
+    def test_post_in_livelock_trips_max_events(self, sim, until):
+        def rearm():
+            sim.post_in(1.0, rearm)
+
+        sim.post_in(0.0, rearm)
+        with pytest.raises(SimulationError, match="max_events"):
+            sim.run(until=until, max_events=50)
+        assert sim.processed_events == 50
+
+
+class TestResetGenerations:
+    """Handles are generation-scoped: reset() makes old handles inert."""
+
+    def test_stale_handle_cannot_cancel_new_event(self, sim):
+        fired = []
+        stale = sim.schedule(1.0, fired.append, "old")
+        sim.reset()
+        # The new event reuses seq 0 — the stale handle must not kill it.
+        sim.schedule(1.0, fired.append, "new")
+        stale.cancel()  # inert: silently dropped, not applied to seq 0
+        assert not stale.cancelled
+        sim.run()
+        assert fired == ["new"]
+
+    def test_live_handle_still_cancels(self, sim):
+        fired = []
+        handle = sim.schedule(1.0, fired.append, "a")
+        sim.schedule(2.0, fired.append, "b")
+        handle.cancel()
+        sim.run()
+        assert fired == ["b"]
+
+
+# --------------------------------------------------------------------- #
+# dispatch order against an independently sorted oracle
+# --------------------------------------------------------------------- #
+def _run_script(script):
+    """Apply a schedule/nest/cancel script to a fresh simulator and run it.
+
+    ``("at", time, tag)`` schedules ``tag``; ``("nest", time, tag, delay)``
+    schedules ``tag``, whose callback posts ``tag+nest`` ``delay`` later;
+    ``("cancel", index)`` cancels the event scheduled by op ``index``.
+    Returns the ``(time, tag)`` firing trace and the processed count.
+    """
+    sim = Simulator()
+    trace = []
+    handles = {}
+
+    def fire(tag):
+        trace.append((sim.now, tag))
+
+    def fire_and_nest(tag, delay, sub_tag):
+        trace.append((sim.now, tag))
+        sim.post_in(delay, fire, sub_tag)
+
+    for index, op in enumerate(script):
+        if op[0] == "at":
+            handles[index] = sim.schedule_at(op[1], fire, op[2])
+        elif op[0] == "nest":
+            _, time, tag, delay = op
+            handles[index] = sim.schedule_at(time, fire_and_nest, tag, delay, f"{tag}+nest")
+        elif op[1] in handles:
+            handles[op[1]].cancel()
+    sim.run()
+    return trace, sim.processed_events
+
+
+def _oracle(script):
+    """The same script's firing trace, computed by sorting alone.
+
+    Every scripted event takes the next seq in script order; nested
+    children are posted while the run is under way, so their seqs follow
+    every scripted one, in the order their parents fire.  Children never
+    nest further, so parents fire in plain ``(time, seq)`` order and one
+    final sort over parents and children gives the whole trace.
+    """
+    cancelled = {op[1] for op in script if op[0] == "cancel"}
+    events = []  # (time, seq, tag, nest delay or None)
+    seq = 0
+    for index, op in enumerate(script):
+        if op[0] == "cancel":
+            continue
+        if index not in cancelled:
+            events.append((float(op[1]), seq, op[2], op[3] if op[0] == "nest" else None))
+        seq += 1
+    events.sort()
+    children = []
+    for time, _, tag, delay in events:
+        if delay is not None:
+            children.append((time + delay, seq, f"{tag}+nest", None))
+            seq += 1
+    trace = [(time, tag) for time, _, tag, _ in sorted(events + children)]
+    return trace, len(trace)
+
+
+def _random_script(rng, size):
+    """A random mix of schedules, nested schedules and cancellations."""
+    script = []
+    for i in range(size):
+        roll = rng.random()
+        time = round(rng.uniform(0.0, 50.0), 3)
+        if roll < 0.55:
+            script.append(("at", time, f"t{i}"))
+        elif roll < 0.8:
+            script.append(("nest", time, f"n{i}", round(rng.uniform(0.0, 5.0), 3)))
+        elif script:
+            script.append(("cancel", rng.randrange(len(script))))
+    return script
+
+
+class TestOracleOrder:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_randomized_scripts_fire_in_oracle_order(self, seed):
+        script = _random_script(random.Random(seed), 120)
+        assert _run_script(script) == _oracle(script)
+
+    def test_single_instant_burst(self):
+        """10k events at the same instant: pure seq tie-breaking."""
+        script = [("at", 1.0, f"t{i}") for i in range(10_000)]
+        trace, processed = _run_script(script)
+        assert (trace, processed) == _oracle(script)
+        assert [tag for _, tag in trace] == [f"t{i}" for i in range(10_000)]
+
+    def test_huge_time_spread(self):
+        """Timestamps spanning 12 orders of magnitude."""
+        script = [("at", float(10 ** (i % 12)), f"t{i}") for i in range(3_000)]
+        assert _run_script(script) == _oracle(script)
+
+    def test_dense_same_time_nesting(self):
+        """Zero-delay children landing at the instant being dispatched."""
+        script = [("nest", float(i % 7), f"n{i}", 0.0) for i in range(2_000)]
+        assert _run_script(script) == _oracle(script)
+
+    def test_bounded_run_then_step_keeps_order(self, sim):
+        fired = []
+        for i in range(100):
+            sim.schedule_at(float(i % 13), fired.append, i)
+        sim.run(until=5.0)
+        mid = list(fired)
+        while sim.step():
+            pass
+        expected = sorted(range(100), key=lambda i: (i % 13, i))
+        assert mid == [i for i in expected if i % 13 <= 5]
+        assert fired == expected
